@@ -879,8 +879,3 @@ def direct_sum(groups):
             cols.append(g.from_presentation(chunk).coords)
         projections.append(GroupHom(sum_group, g, cols, check=False))
     return sum_group, injections, projections
-
-
-def hom_from_columns(source, target, element_cols):
-    """Hom sending the i-th canonical source generator to ``element_cols[i]``."""
-    return GroupHom(source, target, [e.coords for e in element_cols])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import f2
-from .abelian import sqrt_solutions
+from .abelian import canonical_sqrt, sqrt_solutions
 from .errors import NotEnumerable, TypeMismatch
 from .schemes import LineBundle, MorphismDescriptor
 
@@ -132,13 +132,20 @@ def solve_composition(a1, a2, side):
     raise TypeMismatch(f"unknown side {side!r}")
 
 
-def alignment_exists(l1: LineBundle, l2: LineBundle):
-    """True iff the two bundles agree modulo squares."""
+def canonical_alignment(l1: LineBundle, l2: LineBundle):
+    """The alignment ``l1 ⇝ l2`` with the canonical square root and unit 1,
+    or None when the bundles differ modulo squares."""
     if l1.scheme is not l2.scheme:
         raise TypeMismatch("bundles on different schemes")
-    from .abelian import canonical_sqrt
+    m = canonical_sqrt(l1.scheme.pic, l2.cls - l1.cls)
+    if m is None:
+        return None
+    return AlignmentClass(l1, l2, m, l1.scheme.units.zero())
 
-    return canonical_sqrt(l1.scheme.pic, l2.cls - l1.cls) is not None
+
+def alignment_exists(l1: LineBundle, l2: LineBundle):
+    """True iff the two bundles agree modulo squares."""
+    return canonical_alignment(l1, l2) is not None
 
 
 def alignments_between(l1: LineBundle, l2: LineBundle, enumerate_all=True):

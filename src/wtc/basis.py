@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .abelian import (
     GroupHom,
-    canonical_sqrt,
     cokernel_of,
     direct_sum,
     hom_analyze,
@@ -37,7 +36,13 @@ from .abelian import (
     solve_linear,
     two_torsion,
 )
-from .align import AlignmentClass, KAlignmentClass, compose, invert
+from .align import (
+    AlignmentClass,
+    KAlignmentClass,
+    canonical_alignment,
+    compose,
+    invert,
+)
 from .descent import require_smpic
 from .errors import (
     ExactnessFailure,
@@ -107,17 +112,13 @@ def trivial_coefficient_alignment(w, target_twist):
     pres = w.parent
     scheme = pres.scheme
     base = pres.structure.target
-    m = canonical_sqrt(scheme.pic, target_twist - w.twist)
-    if m is None:
+    inner = canonical_alignment(
+        LineBundle(scheme, w.twist), LineBundle(scheme, target_twist)
+    )
+    if inner is None:
         raise ScopeError(
             "member twist is not a square away from the target twist"
         )
-    inner = AlignmentClass(
-        LineBundle(scheme, w.twist),
-        LineBundle(scheme, target_twist),
-        m,
-        scheme.units.zero(),
-    )
     return KAlignmentClass(LineBundle(base, base.pic.zero()), inner)
 
 
@@ -607,7 +608,7 @@ def _piece_hom(rmap, src_pres, tgt_pres, key_in, key_out, k_src, k_tgt):
     """The raw registered block as a GroupHom between pieces."""
     src = src_pres.piece(k_src, key_in)
     tgt = tgt_pres.piece(k_tgt, key_out)
-    block = rmap.blocks.get(tuple(key_in) if rmap.kind in ("pull", "restrict", "ext") else tuple(key_out))
+    block = rmap.blocks.get(tuple(key_out if rmap.geometry.by_target else key_in))
     if block is None:
         return GroupHom.zero(src, tgt)
     cols = block[1].get(k_src % 4)
@@ -682,13 +683,7 @@ def check_localization(ledger, assert_basis=("z", "u")):
             homs.append(_piece_hom(ledger.ext_map, zp, yp, p, p, k, k))
             homs.append(_piece_hom(ledger.restrict_map, yp, up, p, p_u, k, k))
             homs.append(_piece_hom(ledger.bord_map, up, zp, p_u, p, k, k + 1))
-        # reorder hom list to match the node order
-        ordered = []
-        for k in range(4):
-            ordered.append(homs[3 * k])
-            ordered.append(homs[3 * k + 1])
-            ordered.append(homs[3 * k + 2])
-        ok, witness = _cyclic_exactness(groups, ordered)
+        ok, witness = _cyclic_exactness(groups, homs)
         if not report.add(
             f"sequence_exact[{p}]", ok, "" if ok else str(witness)
         ):
@@ -785,14 +780,6 @@ def _five_lemma_derivation(ledger, report, images):
     ring = zp.base_ring
     ok_all = True
 
-    # roles: Z-side members (v_i: mapped by e; v'_j: hit by bord)
-    z_mapped = [p for p in ledger.e_pairs]
-    z_hit = [p for p in ledger.bord_pairs]
-    y_hit = [p for p in ledger.e_pairs]
-    y_mapped = [p for p in ledger.upsilon_pairs]
-    u_mapped = [p for p in ledger.bord_pairs]
-    u_hit = [p for p in ledger.upsilon_pairs]
-
     def column_hom(pres, member, k, target_twist):
         src, tgt, cols = _theta_column_hom(ring, pres, member, k, target_twist)
         return src, tgt, GroupHom(
@@ -813,8 +800,7 @@ def _five_lemma_derivation(ledger, report, images):
             x = ring.element((k - left.degree) % 4, ring.zero_key, b)
             ka = trivial_coefficient_alignment(left.w, t_in)
             val = lax_product(x, ka, left.w)
-            kwargs = {"target_twist": t_out} if rmap.kind in ("push", "bord") else {}
-            moved = apply_registered(rmap, val, **kwargs)
+            moved = apply_registered(rmap, val, target_twist=t_out)
             if moved.twist != t_out:
                 s = tgt_pres.canonical_transport(
                     tgt_pres.class_of(t_out), t_out
@@ -842,193 +828,118 @@ def _five_lemma_derivation(ledger, report, images):
             cols.append(sol[0].coords)
         return GroupHom(src_ring, ring_out, cols, check=False)
 
-    def zero_check(src_pres, rmap, member, k, p_in, extra_twist=None):
+    def zero_check(src_pres, rmap, member, k, p_in, target_twist):
         t_in = src_pres.rep(p_in)
         src_ring, _, _ = column_hom(src_pres, member, k, t_in)
         for b in src_ring.generators():
             x = ring.element((k - member.degree) % 4, ring.zero_key, b)
             ka = trivial_coefficient_alignment(member.w, t_in)
             val = lax_product(x, ka, member.w)
-            kwargs = {}
-            if rmap.kind in ("push", "bord"):
-                kwargs["target_twist"] = extra_twist
-            moved = apply_registered(rmap, val, **kwargs)
+            moved = apply_registered(rmap, val, target_twist=target_twist)
             if not moved.is_zero():
                 return False
         return True
 
+    def blocks_to_hom(src_sum, tgt_sum, blocks):
+        src_grp, _src_inj, src_proj = src_sum
+        tgt_grp, tgt_inj, _ = tgt_sum
+        cols = []
+        for j in range(src_grp.rank):
+            acc = tgt_grp.zero()
+            gen = src_grp.element(
+                [1 if t == j else 0 for t in range(src_grp.rank)]
+            )
+            for (si, ti, hom) in blocks:
+                comp = src_proj[si].apply(gen)
+                acc = acc + tgt_inj[ti].apply(hom.apply(comp))
+            cols.append(acc.coords)
+        return GroupHom(src_grp, tgt_grp, cols, check=False)
+
+    def pairs_at(pairs, side, key):
+        return [pr for pr in pairs if getattr(pr, side).w.key == key]
+
+    node_pres = {"z": zp, "y": yp, "u": up}
     for p in ledger.scope:
         p_u = images[p]
-        # model nodes and maps per degree
-        model_groups = {}
+        # pairs whose left member a map sends on, and whose right member it hits
+        e_out = pairs_at(ledger.e_pairs, "left", p)
+        e_in = pairs_at(ledger.e_pairs, "right", p)
+        r_out = pairs_at(ledger.upsilon_pairs, "left", p)
+        r_in = pairs_at(ledger.upsilon_pairs, "right", p_u)
+        b_out = pairs_at(ledger.bord_pairs, "left", p_u)
+        b_in = pairs_at(ledger.bord_pairs, "right", p)
+        # model nodes: one free base piece per member, in this order
+        nodes = {
+            "z": [pr.left for pr in e_out] + [pr.right for pr in b_in],
+            "y": [pr.right for pr in e_in] + [pr.left for pr in r_out],
+            "u": [pr.left for pr in b_out] + [pr.right for pr in r_in],
+        }
+        # the maps of the sequence: label, map, source and target node with
+        # their classes, degree step, mapped pairs, their offsets in the source
+        # and target nodes, the source members the map must kill, the
+        # downstairs twist to kill them at, and the message when it does not
+        edges = (
+            ("e", ledger.ext_map, ("z", p), ("y", p), 0, e_out, (0, 0),
+             [pr.right for pr in b_in], None,
+             "extension does not kill the connected member"),
+            ("res", ledger.restrict_map, ("y", p), ("u", p_u), 0, r_out,
+             (len(e_in), len(b_out)), [pr.right for pr in e_in], None,
+             "restriction does not kill the extended member"),
+            ("bord", ledger.bord_map, ("u", p_u), ("z", p), 1, b_out,
+             (0, len(e_out)), [pr.right for pr in r_in], yp.rep(p),
+             "connecting map does not kill the restricted member"),
+        )
+        model_groups = {
+            (n, k): direct_sum(
+                [ring.piece((k - m.degree) % 4, ring.zero_key) for m in members]
+            )
+            for n, members in nodes.items()
+            for k in range(4)
+        }
         model_maps = {}
         entries_ok = True
         for k in range(4):
-            # Z node: pieces for v_i (e_pairs), v'_j (bord_pairs)
-            z_pieces = [
-                ring.piece((k - pr.left.degree) % 4, ring.zero_key)
-                for pr in z_mapped if pr.left.w.key == p
-            ] + [
-                ring.piece((k - pr.right.degree) % 4, ring.zero_key)
-                for pr in z_hit if pr.right.w.key == p
-            ]
-            y_pieces = [
-                ring.piece((k - pr.right.degree) % 4, ring.zero_key)
-                for pr in y_hit if pr.right.w.key == p
-            ] + [
-                ring.piece((k - pr.left.degree) % 4, ring.zero_key)
-                for pr in y_mapped if pr.left.w.key == p
-            ]
-            u_pieces = [
-                ring.piece((k - pr.left.degree) % 4, ring.zero_key)
-                for pr in u_mapped if pr.left.w.key == p_u
-            ] + [
-                ring.piece((k - pr.right.degree) % 4, ring.zero_key)
-                for pr in u_hit if pr.right.w.key == p_u
-            ]
-            model_groups[("z", k)] = direct_sum(z_pieces)
-            model_groups[("y", k)] = direct_sum(y_pieces)
-            model_groups[("u", k)] = direct_sum(u_pieces)
-
-        def blocks_to_hom(src_sum, tgt_sum, blocks):
-            src_grp, _src_inj, src_proj = src_sum
-            tgt_grp, tgt_inj, _ = tgt_sum
-            cols = []
-            for j in range(src_grp.rank):
-                acc = tgt_grp.zero()
-                gen = src_grp.element(
-                    [1 if t == j else 0 for t in range(src_grp.rank)]
-                )
-                for (si, ti, hom) in blocks:
-                    comp = src_proj[si].apply(gen)
-                    acc = acc + tgt_inj[ti].apply(hom.apply(comp))
-                cols.append(acc.coords)
-            return GroupHom(src_grp, tgt_grp, cols, check=False)
-
-        for k in range(4):
-            # e-hat: v_i -> w'_i entry; v'_j -> 0 (verified)
-            blocks = []
-            zi = 0
-            for pr in z_mapped:
-                if pr.left.w.key != p:
-                    continue
-                entry = model_entry(zp, yp, ledger.ext_map, pr, k, p, p)
-                if entry is None:
-                    entries_ok = False
-                    report.add(
-                        f"model_square[e,{p},{k}]", False, "square not solvable"
-                    )
-                    break
-                blocks.append((zi, zi, entry))
-                zi += 1
-            else:
-                for pr in z_hit:
-                    if pr.right.w.key != p:
-                        continue
-                    if not zero_check(zp, ledger.ext_map, pr.right, k, p):
-                        entries_ok = False
+            for (label, rmap, (sn, s_key), (tn, t_key), step, mapped,
+                 (s_off, t_off), killed, kill_twist, kill_msg) in edges:
+                s_pres, t_pres = node_pres[sn], node_pres[tn]
+                blocks = []
+                for i, pr in enumerate(mapped):
+                    entry = model_entry(s_pres, t_pres, rmap, pr, k, s_key, t_key)
+                    if entry is None:
                         report.add(
-                            f"model_zero[e,{p},{k}]",
-                            False,
-                            "extension does not kill the connected member",
+                            f"model_square[{label},{p},{k}]", False,
+                            "square not solvable",
                         )
                         break
-            if not entries_ok:
-                break
-            model_maps[("e", k)] = blocks_to_hom(
-                model_groups[("z", k)], model_groups[("y", k)], blocks
-            )
-
-            blocks = []
-            y_offset = len([pr for pr in y_hit if pr.right.w.key == p])
-            u_offset = len([pr for pr in u_mapped if pr.left.w.key == p_u])
-            yi = 0
-            for pr in y_mapped:
-                if pr.left.w.key != p:
-                    continue
-                entry = model_entry(
-                    yp, up, ledger.restrict_map, pr, k, p, p_u
-                )
-                if entry is None:
-                    entries_ok = False
-                    report.add(
-                        f"model_square[res,{p},{k}]", False, "square not solvable"
-                    )
-                    break
-                blocks.append((y_offset + yi, u_offset + yi, entry))
-                yi += 1
-            else:
-                for pr in y_hit:
-                    if pr.right.w.key != p:
-                        continue
-                    if not zero_check(yp, ledger.restrict_map, pr.right, k, p):
-                        entries_ok = False
-                        report.add(
-                            f"model_zero[res,{p},{k}]",
-                            False,
-                            "restriction does not kill the extended member",
+                    blocks.append((s_off + i, t_off + i, entry))
+                else:
+                    for member in killed:
+                        if not zero_check(
+                            s_pres, rmap, member, k, s_key, kill_twist
+                        ):
+                            report.add(
+                                f"model_zero[{label},{p},{k}]", False, kill_msg
+                            )
+                            break
+                    else:
+                        model_maps[(label, k)] = blocks_to_hom(
+                            model_groups[(sn, k)],
+                            model_groups[(tn, (k + step) % 4)],
+                            blocks,
                         )
-                        break
-            if not entries_ok:
-                break
-            model_maps[("res", k)] = blocks_to_hom(
-                model_groups[("y", k)], model_groups[("u", k)], blocks
-            )
-
-            blocks = []
-            ui = 0
-            for pr in u_mapped:
-                if pr.left.w.key != p_u:
-                    continue
-                entry = model_entry(
-                    up, zp, ledger.bord_map, pr, k, p_u, p
-                )
-                if entry is None:
-                    entries_ok = False
-                    report.add(
-                        f"model_square[bord,{p},{k}]", False, "square not solvable"
-                    )
-                    break
-                # v' members sit after the v members in the Z node
-                z_offset = len([q for q in z_mapped if q.left.w.key == p])
-                blocks.append((ui, z_offset + ui, entry))
-                ui += 1
-            else:
-                for pr in u_hit:
-                    if pr.right.w.key != p_u:
                         continue
-                    if not zero_check(
-                        up, ledger.bord_map, pr.right, k, p_u,
-                        extra_twist=yp.rep(p),
-                    ):
-                        entries_ok = False
-                        report.add(
-                            f"model_zero[bord,{p},{k}]",
-                            False,
-                            "connecting map does not kill the restricted member",
-                        )
-                        break
+                entries_ok = False
+                break
             if not entries_ok:
                 break
-            model_maps[("bord", k)] = blocks_to_hom(
-                model_groups[("u", k)], model_groups[("z", (k + 1) % 4)], blocks
-            )
 
         if not entries_ok:
             ok_all = False
             continue
 
         # invertibility of the paired blocks comes with model exactness below
-        groups = []
-        homs = []
-        for k in range(4):
-            groups.append(model_groups[("z", k)][0])
-            groups.append(model_groups[("y", k)][0])
-            groups.append(model_groups[("u", k)][0])
-        for k in range(4):
-            homs.append(model_maps[("e", k)])
-            homs.append(model_maps[("res", k)])
-            homs.append(model_maps[("bord", k)])
+        groups = [model_groups[(n, k)][0] for k in range(4) for n in "zyu"]
+        homs = [model_maps[(e[0], k)] for k in range(4) for e in edges]
         ok, witness = _cyclic_exactness(groups, homs)
         ok_all = report.add(
             f"model_exact[{p}]", ok, "" if ok else str(witness)

@@ -315,19 +315,8 @@ class MorphismExpr:
         return f"Expr({self.display()} : {self.domain!r} -> {self.codomain!r})"
 
 
-def typecheck(expr):
-    """Endpoints of a word; raises a located TypeMismatch on failure."""
-    return expr.domain, expr.codomain
-
-
 # ---------------------------------------------------------------------------
 # normalization
-
-
-def _as_scalar(gen, ref):
-    if isinstance(gen, Scalar):
-        return gen
-    return None
 
 
 def per_gen(bundle):

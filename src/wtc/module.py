@@ -20,18 +20,25 @@ routed through the base).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abelian import (
     FgAbGroup,
     GroupHom,
-    canonical_sqrt,
     mod2_reduction,
     solve_linear,
     two_torsion,
 )
 from . import f2
-from .align import AlignmentClass, KAlignmentClass, compose, invert
+from .align import (
+    AlignmentClass,
+    KAlignmentClass,
+    canonical_alignment,
+    compose,
+    invert,
+    pull_alignment,
+    shriek_alignment,
+)
 from .errors import (
     DegreeMismatch,
     MissingAutAction,
@@ -119,18 +126,15 @@ class PieceStore:
             raise ScopeError(
                 f"{self.name}: twist lies in class {self.class_of(twist)}, not {key}"
             )
-        m = canonical_sqrt(self.scheme.pic, twist - rep)
-        if m is None:
+        align = canonical_alignment(
+            LineBundle(self.scheme, rep), LineBundle(self.scheme, twist)
+        )
+        if align is None:
             raise ScopeError(
                 f"{self.name}: twist is not a square away from the representative "
                 f"of {key}; the class is not representable in this presentation"
             )
-        return AlignmentClass(
-            LineBundle(self.scheme, rep),
-            LineBundle(self.scheme, twist),
-            m,
-            self.scheme.units.zero(),
-        )
+        return align
 
     def element(self, degree, key, coords, twist=None, transport=None):
         key = tuple(key)
@@ -322,18 +326,12 @@ class BaseWittRing(PieceStore):
         return space, red
 
     def _product_transport(self, k1, k2, tr):
-        src = self.rep(k1) + self.rep(k2)
-        k12 = self.class_of(src)
-        tgt = self.rep(k12)
+        src = LineBundle(self.scheme, self.rep(k1) + self.rep(k2))
+        tgt = LineBundle(self.scheme, self.rep(self.class_of(src.cls)))
         if tr is None:
-            m = canonical_sqrt(self.scheme.pic, tgt - src)
-            u = self.scheme.units.zero()
-        else:
-            m = self.scheme.pic.element(tr[0])
-            u = tr[1]
-        return AlignmentClass(
-            LineBundle(self.scheme, src), LineBundle(self.scheme, tgt), m, u
-        )
+            # classes agree modulo 2 Pic, so the canonical square root exists
+            return canonical_alignment(src, tgt)
+        return AlignmentClass(src, tgt, self.scheme.pic.element(tr[0]), tr[1])
 
     # -- products -------------------------------------------------------------
 
@@ -513,24 +511,185 @@ class RegisteredMap:
     ``blocks[index_class]`` is a pair ``(transport, matrices)``:
     the per-class alignment fixing how the geometric map meets the chosen
     representatives, and matrices (lists of columns) per source degree.
-    Indexing is by source class for pull/restrict/ext and by target class
-    for push/bord, which are families parametrized by the downstairs twist.
+    How blocks are indexed and what their transports join is the geometry
+    of the map's kind, given by ``MAP_KINDS``.
     """
 
     name: str
-    kind: str  # pull | restrict | push | ext | bord
+    kind: str  # a key of MAP_KINDS
     source: "WittModulePresentation"
     target: "WittModulePresentation"
     morphism: object = None
     triple: object = None
     blocks: dict = field(default_factory=dict)
 
+    @property
+    def geometry(self):
+        geo = MAP_KINDS.get(self.kind)
+        if geo is None:
+            raise ValidationError(
+                "map_kind", f"{self.name}: unknown kind {self.kind!r}"
+            )
+        return geo
+
     def degree_shift(self):
-        if self.kind == "bord":
-            return 1
-        if self.kind == "push":
-            return -self.morphism.dim
-        return 0
+        return self.geometry.shift(self)
+
+
+# ---------------------------------------------------------------------------
+# the geometry of registered-map kinds
+
+
+@dataclass(frozen=True)
+class MapKind:
+    """The geometry of one kind of registered map.
+
+    A map joins a *downstairs* presentation, whose classes index the blocks,
+    and an *upstairs* one, reached by lifting classes and alignments along
+    ``lift`` (a morphism upstairs -> downstairs, or the identity when it
+    gives None), twisted by the relative canonical class when ``omega`` is
+    set.  Pull-like kinds map downstairs to upstairs and are indexed by
+    source class.  Push-like kinds (``by_target``) map upstairs to
+    downstairs; they are families parametrized by the downstairs twist and
+    are indexed by target class.  Either way the block transport lives on
+    the upstairs scheme and runs from the (lifted) source representative to
+    the (lifted) target representative.
+    """
+
+    by_target: bool
+    lift: object  # rmap -> morphism upstairs -> downstairs, or None
+    shift: object  # rmap -> degree shift from source to target
+    support_ok: object  # rmap -> whether the support labels fit
+    linear: bool  # linearity over the base action is checked at load
+    endpoints_msg: str
+    support_msg: str  # formatted with the source and target presentations
+    representatives_msg: str  # formatted with the map's name, kind and key
+    omega: bool = False
+    morphism_from_triple: bool = False  # no morphism given: the open immersion
+
+    def sides(self, rmap):
+        """The (downstairs, upstairs) presentations of ``rmap``."""
+        if self.by_target:
+            return rmap.target, rmap.source
+        return rmap.source, rmap.target
+
+    def endpoints_ok(self, rmap):
+        down, up = self.sides(rmap)
+        g = self.lift(rmap)
+        if g is None:
+            return up.scheme is down.scheme
+        return g.source is up.scheme and g.target is down.scheme
+
+    def lift_class(self, rmap, x):
+        g = self.lift(rmap)
+        if g is None:
+            return x
+        y = g.pic_pullback.apply(x)
+        return g.omega + y if self.omega else y
+
+    def lift_alignment(self, rmap, a):
+        g = self.lift(rmap)
+        if g is None:
+            return a
+        return shriek_alignment(g, a) if self.omega else pull_alignment(g, a)
+
+
+def _push_support_ok(rmap):
+    rmap.morphism.require_proper()
+    return rmap.target.support == rmap.morphism.push_support(rmap.source.support)
+
+
+_PULL = MapKind(
+    by_target=False,
+    lift=lambda r: r.morphism,
+    shift=lambda r: 0,
+    support_ok=lambda r: r.target.support == r.morphism.pull_support(r.source.support),
+    linear=False,
+    endpoints_msg="morphism endpoints do not match",
+    support_msg="support labels do not match",
+    representatives_msg="{name}: pulled representative of {key} is not a square "
+    "away from the target representative",
+)
+
+MAP_KINDS = {
+    "pull": _PULL,
+    "restrict": replace(_PULL, linear=True, morphism_from_triple=True),
+    "ext": MapKind(
+        by_target=False,
+        lift=lambda r: None,
+        shift=lambda r: 0,
+        support_ok=lambda r: r.source.scheme.has_inclusion(
+            r.source.support, r.target.support
+        ),
+        linear=True,
+        endpoints_msg="extension must stay on one scheme",
+        support_msg="no declared inclusion {src.support!r} <= {tgt.support!r}",
+        representatives_msg="{name}: source and target representatives of {key} "
+        "differ by a non-square",
+    ),
+    "push": MapKind(
+        by_target=True,
+        lift=lambda r: r.morphism,
+        shift=lambda r: -r.morphism.dim,
+        support_ok=_push_support_ok,
+        linear=False,
+        endpoints_msg="morphism endpoints do not match",
+        support_msg="support labels do not match",
+        representatives_msg="{kind} block for {key}: representatives are not "
+        "compatible",
+        omega=True,
+    ),
+    "bord": MapKind(
+        by_target=True,
+        lift=lambda r: r.triple.upsilon,
+        shift=lambda r: 1,
+        support_ok=lambda r: r.target.support == r.triple.closed_label,
+        linear=True,
+        endpoints_msg="connecting map endpoints do not match",
+        support_msg="connecting map must land in the closed support",
+        representatives_msg="{kind} block for {key}: representatives are not "
+        "compatible",
+    ),
+}
+
+
+def block_geometry(rmap, key):
+    """The block of ``rmap`` at class ``key`` as ``(source class, target
+    class, scheme, start, end)``: it maps pieces of the source class to
+    pieces of the target class, and its transport is an alignment
+    ``start ⇝ end`` on ``scheme``."""
+    geo = rmap.geometry
+    down, up = geo.sides(rmap)
+    lifted = geo.lift_class(rmap, down.rep(key))
+    up_key = up.class_of(lifted)
+    if geo.by_target:
+        return up_key, key, up.scheme, up.rep(up_key), lifted
+    return key, up_key, up.scheme, lifted, up.rep(up_key)
+
+
+def block_pieces(rmap, key, k_src):
+    """Source and target piece groups of the block at ``key`` in source
+    degree ``k_src``."""
+    src_key, tgt_key, _, _, _ = block_geometry(rmap, key)
+    return (
+        rmap.source.piece(k_src, src_key),
+        rmap.target.piece(k_src + rmap.degree_shift(), tgt_key),
+    )
+
+
+def default_block_transport(rmap, key):
+    """The canonical transport of the block at ``key``, for blocks whose
+    data gives none."""
+    _, _, scheme, start, end = block_geometry(rmap, key)
+    align = canonical_alignment(scheme.bundle(start), scheme.bundle(end))
+    if align is None:
+        raise ValidationError(
+            "map_representatives",
+            rmap.geometry.representatives_msg.format(
+                name=rmap.name, kind=rmap.kind, key=key
+            ),
+        )
+    return align
 
 
 class WittModulePresentation(PieceStore):
@@ -589,24 +748,19 @@ class WittModulePresentation(PieceStore):
 
     def _make_action(self, i, kappa, p, table, tr):
         pulled = self.structure.pic_pullback.apply(self.base_ring.rep(kappa))
-        src = pulled + self.rep(p)
-        tgt = self.rep(p)
-        if tr is None:
-            m = canonical_sqrt(self.scheme.pic, tgt - src)
-            if m is None:
+        src = LineBundle(self.scheme, pulled + self.rep(p))
+        tgt = LineBundle(self.scheme, self.rep(p))
+        if tr is not None:
+            align = AlignmentClass(src, tgt, self.scheme.pic.element(tr[0]), tr[1])
+        else:
+            align = canonical_alignment(src, tgt)
+            if align is None:
                 raise ValidationError(
                     "action_alignment",
                     f"{self.name}: coefficient class {kappa} is not representable "
                     f"against class {p}: the pulled representative is not a square "
                     f"away from the target representative",
                 )
-            u = self.scheme.units.zero()
-        else:
-            m = self.scheme.pic.element(tr[0])
-            u = tr[1]
-        align = AlignmentClass(
-            LineBundle(self.scheme, src), LineBundle(self.scheme, tgt), m, u
-        )
         return ActionTable(table, align)
 
     # -- the action -------------------------------------------------------------
@@ -836,18 +990,15 @@ def lax_product(lam, ka: KAlignmentClass, w):
     else:
         # zero pieces: any valid alignment will do for the (zero) result
         pulled = pi.pic_pullback.apply(ring.rep(lam.key))
-        m = canonical_sqrt(pres.scheme.pic, pres.rep(w.key) - pulled - pres.rep(w.key))
-        if m is None:
+        a0 = canonical_alignment(
+            LineBundle(pres.scheme, pulled + pres.rep(w.key)),
+            LineBundle(pres.scheme, pres.rep(w.key)),
+        )
+        if a0 is None:
             raise ScopeError(
                 f"{pres.name}: coefficient class {lam.key} not representable "
                 f"against {w.key}"
             )
-        a0 = AlignmentClass(
-            LineBundle(pres.scheme, pulled + pres.rep(w.key)),
-            LineBundle(pres.scheme, pres.rep(w.key)),
-            m,
-            pres.scheme.units.zero(),
-        )
     # composite transport: ka.inner ∘ (pi^* lam.transport ⊗ w.transport) ∘ a0^{-1}
     m_e = (
         ka.inner.m
@@ -897,161 +1048,70 @@ def lax_combination(terms, degree, twist):
 # registered map application and expression evaluation
 
 
+def _block_for(rmap, index, w, out_piece):
+    """The block at ``index``; it may be absent only next to a zero piece."""
+    block = rmap.blocks.get(index)
+    if block is None and not (
+        w.piece_group().is_trivial() or out_piece.is_trivial()
+    ):
+        raise MissingMap(f"{rmap.name}: no block for class {index}")
+    return block
+
+
+def _block_apply(block, degree, coords, out_piece):
+    cols = block[1].get(degree % 4) if block is not None else None
+    if cols is None:
+        return out_piece.zero()
+    return _matrix_columns_apply(cols, coords, out_piece)
+
+
 def apply_registered(rmap, w, target_twist=None):
     """Apply a registered map to a represented class of its source.
 
-    For push/bord the downstairs twist must be supplied (those maps are
-    families parametrized by it); for pull/restrict/ext it is derived.
+    Push-like kinds are families parametrized by the downstairs twist, which
+    must be supplied; pull-like kinds derive the twist and ignore it.
     """
     src, tgt = rmap.source, rmap.target
     if w.parent is not src:
         raise TypeMismatch(f"{rmap.name}: class not in the source presentation")
-    kind = rmap.kind
+    geo = rmap.geometry
+    deg_out = w.degree + geo.shift(rmap)
 
-    if kind in ("pull", "restrict"):
-        f = rmap.morphism
-        block = rmap.blocks.get(w.key)
-        p_out = tgt.class_of(f.pic_pullback.apply(src.rep(w.key)))
-        out_piece = tgt.piece(w.degree, p_out)
-        if block is None:
-            if not src.piece(w.degree, w.key).is_trivial() and not out_piece.is_trivial():
-                raise MissingMap(
-                    f"{rmap.name}: no block for class {w.key}"
-                )
-            tr_align = _default_block_transport(rmap, w.key)
-            coords = out_piece.zero()
-        else:
-            tr_align = block[0]
-            cols = block[1].get(w.degree % 4)
-            coords = (
-                _matrix_columns_apply(cols, w.coords, out_piece)
-                if cols is not None
-                else out_piece.zero()
-            )
-        new_twist = f.pic_pullback.apply(w.twist)
-        pulled_tp = AlignmentClass(
-            LineBundle(tgt.scheme, f.pic_pullback.apply(w.transport.source.cls)),
-            LineBundle(tgt.scheme, new_twist),
-            f.pic_pullback.apply(w.transport.m),
-            f.unit_pullback.apply(w.transport.u),
-        )
-        tp = compose(pulled_tp, invert(tr_align))
-        return RepresentedClass(tgt, w.degree, p_out, coords, new_twist, tp)
-
-    if kind == "ext":
-        block = rmap.blocks.get(w.key)
-        out_piece = tgt.piece(w.degree, w.key)
-        if block is None:
-            if not src.piece(w.degree, w.key).is_trivial() and not out_piece.is_trivial():
-                raise MissingMap(f"{rmap.name}: no block for class {w.key}")
-            tr_align = _default_block_transport(rmap, w.key)
-            coords = out_piece.zero()
-        else:
-            tr_align = block[0]
-            cols = block[1].get(w.degree % 4)
-            coords = (
-                _matrix_columns_apply(cols, w.coords, out_piece)
-                if cols is not None
-                else out_piece.zero()
-            )
-        tp = compose(w.transport, invert(tr_align))
-        return RepresentedClass(tgt, w.degree, w.key, coords, w.twist, tp)
-
-    if kind in ("push", "bord"):
-        if target_twist is None:
-            raise TypeMismatch(f"{rmap.name}: {kind} needs the downstairs twist")
-        p_out = tgt.class_of(target_twist)
-        if not tgt.in_scope(p_out):
-            raise ScopeError(f"{rmap.name}: target class {p_out} outside the scope")
-        block = rmap.blocks.get(p_out)
-        if kind == "push":
-            fmor = rmap.morphism
-            expected = fmor.omega + fmor.pic_pullback.apply(target_twist)
-            deg_out = w.degree - fmor.dim
-        else:
-            ups = rmap.triple.upsilon
-            expected = ups.pic_pullback.apply(target_twist)
-            deg_out = w.degree + 1
-        if w.twist != expected:
-            raise TypeMismatch(
-                f"{rmap.name}: class twist does not match the downstairs twist",
-                witness=(w.twist, expected),
-            )
-        s = tgt.canonical_transport(p_out, target_twist)
-        if kind == "push":
-            fmor = rmap.morphism
-            lifted = AlignmentClass(
-                LineBundle(
-                    src.scheme,
-                    fmor.omega + fmor.pic_pullback.apply(s.source.cls),
-                ),
-                LineBundle(src.scheme, expected),
-                fmor.pic_pullback.apply(s.m),
-                fmor.unit_pullback.apply(s.u),
-            )
-        else:
-            ups = rmap.triple.upsilon
-            lifted = AlignmentClass(
-                LineBundle(src.scheme, ups.pic_pullback.apply(s.source.cls)),
-                LineBundle(src.scheme, expected),
-                ups.pic_pullback.apply(s.m),
-                ups.unit_pullback.apply(s.u),
-            )
+    if not geo.by_target:
+        p_out = tgt.class_of(geo.lift_class(rmap, src.rep(w.key)))
         out_piece = tgt.piece(deg_out, p_out)
-        if block is None:
-            if not src.piece(w.degree, w.key).is_trivial() and not out_piece.is_trivial():
-                raise MissingMap(f"{rmap.name}: no block for class {p_out}")
-            coords = out_piece.zero()
+        block = _block_for(rmap, w.key, w, out_piece)
+        if block is not None:
+            tr_align = block[0]
         else:
-            tr_align, matrices = block
-            disc = compose(invert(compose(lifted, tr_align)), w.transport)
-            moved = src.apply_automorphism(disc, (w.degree, w.key, w.coords))
-            cols = matrices.get(w.degree % 4)
-            coords = (
-                _matrix_columns_apply(cols, moved, out_piece)
-                if cols is not None
-                else out_piece.zero()
-            )
-        return RepresentedClass(tgt, deg_out, p_out, coords, target_twist, s)
+            tr_align = default_block_transport(rmap, w.key)
+        lifted = geo.lift_alignment(rmap, w.transport)  # ends at the new twist
+        tp = compose(lifted, invert(tr_align))
+        coords = _block_apply(block, w.degree, w.coords, out_piece)
+        return RepresentedClass(tgt, deg_out, p_out, coords, lifted.target.cls, tp)
 
-    raise TypeMismatch(f"unknown registered map kind {kind!r}")
-
-
-def _default_block_transport(rmap, key):
-    """Canonical per-class alignment when a block is absent (zero pieces)."""
-    src, tgt = rmap.source, rmap.target
-    if rmap.kind in ("pull", "restrict"):
-        f = rmap.morphism
-        pulled = f.pic_pullback.apply(src.rep(key))
-        p_out = tgt.class_of(pulled)
-        m = canonical_sqrt(tgt.scheme.pic, tgt.rep(p_out) - pulled)
-        if m is None:
-            raise ValidationError(
-                "map_representatives",
-                f"{rmap.name}: pulled representative of {key} is not a square away "
-                f"from the target representative",
-            )
-        return AlignmentClass(
-            LineBundle(tgt.scheme, pulled),
-            LineBundle(tgt.scheme, tgt.rep(p_out)),
-            m,
-            tgt.scheme.units.zero(),
+    if target_twist is None:
+        raise TypeMismatch(f"{rmap.name}: {rmap.kind} needs the downstairs twist")
+    p_out = tgt.class_of(target_twist)
+    if not tgt.in_scope(p_out):
+        raise ScopeError(f"{rmap.name}: target class {p_out} outside the scope")
+    expected = geo.lift_class(rmap, target_twist)
+    if w.twist != expected:
+        raise TypeMismatch(
+            f"{rmap.name}: class twist does not match the downstairs twist",
+            witness=(w.twist, expected),
         )
-    if rmap.kind == "ext":
-        m = canonical_sqrt(tgt.scheme.pic, tgt.rep(key) - src.rep(key))
-        if m is None:
-            raise ValidationError(
-                "map_representatives",
-                f"{rmap.name}: source and target representatives of {key} differ "
-                f"by a non-square",
-            )
-        return AlignmentClass(
-            LineBundle(tgt.scheme, src.rep(key)),
-            LineBundle(tgt.scheme, tgt.rep(key)),
-            m,
-            tgt.scheme.units.zero(),
-        )
-    raise TypeMismatch("no default transport for push/bord blocks")
+    s = tgt.canonical_transport(p_out, target_twist)
+    out_piece = tgt.piece(deg_out, p_out)
+    block = _block_for(rmap, p_out, w, out_piece)
+    coords = w.coords
+    if block is not None:
+        # realign the class onto the block transport before the matrices act
+        lifted = geo.lift_alignment(rmap, s)
+        disc = compose(invert(compose(lifted, block[0])), w.transport)
+        coords = src.apply_automorphism(disc, (w.degree, w.key, coords))
+    coords = _block_apply(block, w.degree, coords, out_piece)
+    return RepresentedClass(tgt, deg_out, p_out, coords, target_twist, s)
 
 
 def eval_expr(expr, w):
@@ -1113,79 +1173,23 @@ def validate_registered_map(rmap):
     nonzero blocks.  Pushforward linearity is the projection-formula
     statement and is exercised by the coefficient-square tests instead.
     """
-    src, tgt = rmap.source, rmap.target
-    if rmap.kind in ("pull", "restrict"):
-        f = rmap.morphism
-        if f.target is not src.scheme or f.source is not tgt.scheme:
-            raise ValidationError(
-                "map_endpoints", f"{rmap.name}: morphism endpoints do not match"
-            )
-        if tgt.support != f.pull_support(src.support):
-            raise ValidationError(
-                "map_support", f"{rmap.name}: support labels do not match"
-            )
-    elif rmap.kind == "push":
-        f = rmap.morphism
-        if f.source is not src.scheme or f.target is not tgt.scheme:
-            raise ValidationError(
-                "map_endpoints", f"{rmap.name}: morphism endpoints do not match"
-            )
-        f.require_proper()
-        if tgt.support != f.push_support(src.support):
-            raise ValidationError(
-                "map_support", f"{rmap.name}: support labels do not match"
-            )
-    elif rmap.kind == "ext":
-        if src.scheme is not tgt.scheme:
-            raise ValidationError(
-                "map_endpoints", f"{rmap.name}: extension must stay on one scheme"
-            )
-        if not src.scheme.has_inclusion(src.support, tgt.support):
-            raise ValidationError(
-                "map_support",
-                f"{rmap.name}: no declared inclusion "
-                f"{src.support!r} <= {tgt.support!r}",
-            )
-    elif rmap.kind == "bord":
-        tri = rmap.triple
-        if src.scheme is not tri.open_scheme or tgt.scheme is not tri.scheme:
-            raise ValidationError(
-                "map_endpoints", f"{rmap.name}: connecting map endpoints do not match"
-            )
-        if tgt.support != tri.closed_label:
-            raise ValidationError(
-                "map_support",
-                f"{rmap.name}: connecting map must land in the closed support",
-            )
-    else:
-        raise ValidationError("map_kind", f"{rmap.name}: unknown kind {rmap.kind!r}")
+    geo = rmap.geometry
+    if not geo.endpoints_ok(rmap):
+        raise ValidationError("map_endpoints", f"{rmap.name}: {geo.endpoints_msg}")
+    if not geo.support_ok(rmap):
+        detail = geo.support_msg.format(src=rmap.source, tgt=rmap.target)
+        raise ValidationError("map_support", f"{rmap.name}: {detail}")
 
     # block transports connect the right endpoints
-    for key, (tr_align, matrices) in rmap.blocks.items():
-        if rmap.kind in ("pull", "restrict"):
-            f = rmap.morphism
-            want_src = f.pic_pullback.apply(src.rep(key))
-            want_tgt = tgt.rep(tgt.class_of(want_src))
-        elif rmap.kind == "ext":
-            want_src = src.rep(key)
-            want_tgt = tgt.rep(key)
-        elif rmap.kind == "push":
-            f = rmap.morphism
-            want_tgt_bundle = f.omega + f.pic_pullback.apply(tgt.rep(key))
-            want_src = src.rep(src.class_of(want_tgt_bundle))
-            want_tgt = want_tgt_bundle
-        else:  # bord
-            ups = rmap.triple.upsilon
-            want_tgt_bundle = ups.pic_pullback.apply(tgt.rep(key))
-            want_src = src.rep(src.class_of(want_tgt_bundle))
-            want_tgt = want_tgt_bundle
-        if tr_align.source.cls != want_src or tr_align.target.cls != want_tgt:
+    for key, (tr_align, _matrices) in rmap.blocks.items():
+        _, _, _, start, end = block_geometry(rmap, key)
+        if tr_align.source.cls != start or tr_align.target.cls != end:
             raise ValidationError(
                 "map_transport",
                 f"{rmap.name}: block transport for {key} has wrong endpoints",
             )
 
-    if rmap.kind in ("ext", "restrict", "bord"):
+    if geo.linear:
         _check_action_linear(rmap)
 
 
@@ -1195,6 +1199,12 @@ def _check_action_linear(rmap):
     src, tgt = rmap.source, rmap.target
     ring = src.base_ring
     k_triv = LineBundle(ring.scheme, ring.scheme.pic.zero())
+    # (class twist, downstairs twist) pairs to apply at, per source class:
+    # push-like maps apply at the lifted twist of each target representative
+    twists = {}
+    for key in rmap.blocks if rmap.geometry.by_target else ():
+        src_key, _, _, _, lifted = block_geometry(rmap, key)
+        twists.setdefault(src_key, []).append((lifted, tgt.rep(key)))
     for (i, kappa) in ring.pieces:
         if ring.piece(i, kappa).is_trivial() or kappa != ring.zero_key:
             continue
@@ -1203,25 +1213,9 @@ def _check_action_linear(rmap):
             for (k, p) in src.pieces:
                 if src.piece(k, p).is_trivial():
                     continue
-                if rmap.kind == "bord":
-                    candidates = [
-                        pk for pk in rmap.blocks
-                        if src.class_of(
-                            rmap.triple.upsilon.pic_pullback.apply(tgt.rep(pk))
-                        ) == p
-                    ]
-                else:
-                    candidates = [p]
+                at = twists.get(p, []) if rmap.geometry.by_target else [(None, None)]
                 for g in src.piece(k, p).generators():
-                    for p_out in candidates:
-                        kwargs = {}
-                        twist = None
-                        if rmap.kind == "bord":
-                            kwargs["target_twist"] = tgt.rep(p_out)
-                            # connecting maps apply at the restricted twist
-                            twist = rmap.triple.upsilon.pic_pullback.apply(
-                                tgt.rep(p_out)
-                            )
+                    for twist, target_twist in at:
                         try:
                             w = src.element(k, p, g, twist=twist)
                         except ScopeError as exc:
@@ -1234,8 +1228,8 @@ def _check_action_linear(rmap):
                             src.scheme.pic.zero(), src.scheme.units.zero(),
                         )
                         lw = lax_product(lam, ka_src, w)
-                        lhs = apply_registered(rmap, lw, **kwargs)
-                        rw = apply_registered(rmap, w, **kwargs)
+                        lhs = apply_registered(rmap, lw, target_twist)
+                        rw = apply_registered(rmap, w, target_twist)
                         ka_tgt = k_alignment(
                             k_triv, LineBundle(tgt.scheme, rw.twist),
                             tgt.scheme.pic.zero(), tgt.scheme.units.zero(),

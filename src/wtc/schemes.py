@@ -160,9 +160,6 @@ class MorphismDescriptor:
     def dim(self):
         return self.require_proper().relative_dimension
 
-    def is_identity_shaped(self):
-        return self.source is self.target
-
     def __repr__(self):
         return f"Morphism({self.name}: {self.source.name} -> {self.target.name})"
 

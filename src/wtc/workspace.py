@@ -27,6 +27,9 @@ from .module import (
     BaseWittRing,
     RegisteredMap,
     WittModulePresentation,
+    block_geometry,
+    block_pieces,
+    default_block_transport,
     validate_registered_map,
 )
 from .schemes import (
@@ -396,53 +399,45 @@ def workspace_from_dict(doc):
 
     registered = {}
     for name, mdoc in doc.get("registered_maps", {}).items():
-        src = presentations[mdoc["source"]]
-        tgt = presentations[mdoc["target"]]
-        kind = mdoc["kind"]
         morphism = morphisms[mdoc["morphism"]] if mdoc.get("morphism") else None
         triple = (
             localizations[mdoc["localization"]]
             if mdoc.get("localization")
             else None
         )
-        if kind == "restrict" and morphism is None and triple is not None:
-            morphism = triple.upsilon
-        blocks = {}
+        rmap = RegisteredMap(
+            name,
+            mdoc["kind"],
+            presentations[mdoc["source"]],
+            presentations[mdoc["target"]],
+            morphism,
+            triple,
+        )
+        geo = rmap.geometry  # an unknown kind fails here, before any block
+        if geo.morphism_from_triple and morphism is None and triple is not None:
+            rmap.morphism = triple.upsilon
         for bdoc in mdoc.get("blocks", []):
             key = tuple(bdoc["class"])
             tr = bdoc.get("transport")
-            align = _block_transport(
-                kind, src, tgt, morphism, triple, key, tr
-            )
+            if tr is None:
+                align = default_block_transport(rmap, key)
+            else:
+                _, _, scheme, start, _ = block_geometry(rmap, key)
+                m_el = _element(scheme.pic, tr["m"])
+                align = AlignmentClass(
+                    scheme.bundle(start),
+                    scheme.bundle(start + 2 * m_el),
+                    m_el,
+                    tuple(tr["u"]),
+                )
             matrices = {}
             for deg_str, mat in bdoc.get("matrices", {}).items():
                 k_src = int(deg_str) % 4
-                if kind in ("pull", "restrict"):
-                    src_grp = src.piece(k_src, key)
-                    p_out = tgt.class_of(
-                        morphism.pic_pullback.apply(src.rep(key))
-                    )
-                    tgt_grp = tgt.piece(k_src, p_out)
-                elif kind == "ext":
-                    src_grp = src.piece(k_src, key)
-                    tgt_grp = tgt.piece(k_src, key)
-                elif kind == "push":
-                    q = src.class_of(
-                        morphism.omega
-                        + morphism.pic_pullback.apply(tgt.rep(key))
-                    )
-                    src_grp = src.piece(k_src, q)
-                    tgt_grp = tgt.piece(k_src - morphism.dim, key)
-                else:  # bord
-                    ups = triple.upsilon
-                    q = src.class_of(ups.pic_pullback.apply(tgt.rep(key)))
-                    src_grp = src.piece(k_src, q)
-                    tgt_grp = tgt.piece(k_src + 1, key)
+                src_grp, tgt_grp = block_pieces(rmap, key, k_src)
                 matrices[k_src] = _matrix_to_canonical(src_grp, tgt_grp, mat)
-            blocks[key] = (align, matrices)
-        rmap = RegisteredMap(name, kind, src, tgt, morphism, triple, blocks)
+            rmap.blocks[key] = (align, matrices)
         validate_registered_map(rmap)
-        src.register_map(rmap)
+        rmap.source.register_map(rmap)
         registered[name] = rmap
 
     ws = Workspace(
@@ -557,52 +552,6 @@ def workspace_from_dict(doc):
             bord_pairs=build_pairs("bord_pairs", up, zp),
         )
     return ws
-
-
-def _block_transport(kind, src, tgt, morphism, triple, key, tr):
-    from .module import _default_block_transport
-    from .abelian import canonical_sqrt
-    from .schemes import LineBundle
-
-    if tr is None:
-        if kind in ("pull", "restrict", "ext"):
-            stub = RegisteredMap("stub", kind, src, tgt, morphism, triple)
-            return _default_block_transport(stub, key)
-        if kind == "push":
-            want_tgt = morphism.omega + morphism.pic_pullback.apply(tgt.rep(key))
-        else:
-            want_tgt = triple.upsilon.pic_pullback.apply(tgt.rep(key))
-        src_rep = src.rep(src.class_of(want_tgt))
-        m = canonical_sqrt(src.scheme.pic, want_tgt - src_rep)
-        if m is None:
-            raise ValidationError(
-                "map_representatives",
-                f"{kind} block for {key}: representatives are not compatible",
-            )
-        return AlignmentClass(
-            LineBundle(src.scheme, src_rep),
-            LineBundle(src.scheme, want_tgt),
-            m,
-            src.scheme.units.zero(),
-        )
-    scheme = src.scheme if kind in ("push", "bord") else tgt.scheme
-    m_el = _element(scheme.pic, tr["m"])
-    u = tuple(tr["u"])
-    if kind in ("pull", "restrict"):
-        start = morphism.pic_pullback.apply(src.rep(key))
-    elif kind == "ext":
-        start = src.rep(key)
-    else:
-        start = src.rep(
-            src.class_of(
-                morphism.omega + morphism.pic_pullback.apply(tgt.rep(key))
-                if kind == "push"
-                else triple.upsilon.pic_pullback.apply(tgt.rep(key))
-            )
-        )
-    return AlignmentClass(
-        scheme.bundle(start), scheme.bundle(start + 2 * m_el), m_el, u
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +717,7 @@ def workspace_to_dict(ws):
         for key, (align, matrices) in sorted(rmap.blocks.items()):
             mats = {}
             for k_src, cols in sorted(matrices.items()):
-                src_grp, tgt_grp = _block_piece_groups(rmap, key, k_src)
+                src_grp, tgt_grp = block_pieces(rmap, key, k_src)
                 mats[str(k_src)] = _matrix_to_doc(src_grp, tgt_grp, cols)
             blocks.append(
                 {
@@ -832,22 +781,6 @@ def _member_doc(pres, member):
         "twist": _element_doc(pres.scheme.pic, member.w.twist),
         "transport": _transport_doc(member.w.transport),
     }
-
-
-def _block_piece_groups(rmap, key, k_src):
-    src, tgt = rmap.source, rmap.target
-    if rmap.kind in ("pull", "restrict"):
-        p_out = tgt.class_of(rmap.morphism.pic_pullback.apply(src.rep(key)))
-        return src.piece(k_src, key), tgt.piece(k_src, p_out)
-    if rmap.kind == "ext":
-        return src.piece(k_src, key), tgt.piece(k_src, key)
-    if rmap.kind == "push":
-        q = src.class_of(
-            rmap.morphism.omega + rmap.morphism.pic_pullback.apply(tgt.rep(key))
-        )
-        return src.piece(k_src, q), tgt.piece(k_src - rmap.morphism.dim, key)
-    q = src.class_of(rmap.triple.upsilon.pic_pullback.apply(tgt.rep(key)))
-    return src.piece(k_src, q), tgt.piece(k_src + 1, key)
 
 
 def serialize(ws):

@@ -8,6 +8,7 @@ from wtc.align import (
     AlignmentClass,
     alignment_exists,
     alignments_between,
+    canonical_alignment,
     compose,
     identity_alignment,
     invert,
@@ -51,6 +52,10 @@ def test_alignments_between_with_torsion():
         ((1, 1), (0,)),
         ((1, 1), (1,)),
     ]
+    # the canonical one is among them, with unit 1
+    can = canonical_alignment(y.bundle([0, 0]), y.bundle([0, 2]))
+    assert can in got and not any(can.u)
+    assert canonical_alignment(y.bundle([0, 0]), y.bundle([0, 1])) is None
 
 
 def test_compose_formula():

@@ -219,13 +219,13 @@ def test_transfer_identity_realignment(data, p1_basis):
     ident = identity_morphism(p1)
     eye = [[1, 0], [0, 1]]
     # build blocks with canonical transports
-    from wtc.module import _default_block_transport
+    from wtc.module import default_block_transport
 
     blocks = {}
     for key in [(0,), (1,)]:
         stub = RegisteredMap("id_pull", "pull", w_p1, w_p1, morphism=ident)
         blocks[key] = (
-            _default_block_transport(stub, key),
+            default_block_transport(stub, key),
             {0: eye, 1: eye, 2: eye, 3: eye},
         )
     rmap = RegisteredMap(

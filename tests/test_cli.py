@@ -254,3 +254,17 @@ def test_cli_determinism(argv, capsys):
     code2, out2 = run_cli(argv, capsys)
     assert code1 == code2
     assert out1 == out2
+
+
+def test_unknown_map_kind_exits_one_with_located_message(tmp_path, capsys):
+    doc = json.loads(open(fixture_path("projective_line")).read())
+    doc["registered_maps"]["pull_piA1"]["kind"] = "pullback"
+    path = tmp_path / "unknown_kind.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(
+        ["certify-smpic", "--workspace", str(path), "--morphism", "pi_P1"], capsys
+    )
+    assert code == 1
+    assert (
+        "[FAIL] ValidationError: map_kind: pull_piA1: unknown kind 'pullback'" in out
+    )

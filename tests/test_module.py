@@ -500,3 +500,100 @@ def test_eval_pull_then_push_roundtrip(data):
     out = eval_expr(e, one)
     assert out.parent is w_z and out.degree == 1 and out.key == (1,)
     assert out.coords.coords == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# registered-map axioms, one kind at a time
+
+
+@pytest.fixture(scope="module")
+def axiom_geo():
+    """Empty presentations over the projective-line geometry, with a
+    localization whose open part P1b has Pic = Z, so that every kind's
+    block transport lives on a scheme with nonzero Picard group."""
+    from wtc.module import WittModulePresentation
+    from wtc.schemes import Localization
+
+    from .util import _swap_ring, p1_geometry
+
+    geo = p1_geometry()
+    x, p1, p1b = geo["X"], geo["P1"], geo["P1b"]
+    ring = _swap_ring(x)
+
+    def pres(name, scheme, support):
+        reps = {(): scheme.pic.zero()} if scheme is x else {
+            (0,): scheme.pic.element([0]), (1,): scheme.pic.element([1])
+        }
+        return WittModulePresentation(name, scheme, ring, support, {}, reps)
+
+    return {
+        **geo,
+        "pi_P1": p1.structure_map,
+        "W_X": pres("W_X", x, "total"),
+        "W_P1": pres("W_P1", p1, "total"),
+        "W_zP1": pres("W_zP1", p1, "z"),
+        "W_P1b": pres("W_P1b", p1b, "total"),
+        "loc_b": Localization("zloc_b", p1, "z", p1b, geo["f"]),
+    }
+
+
+# kind, source, target, morphism, localization, block class, transport scheme
+KIND_CASES = [
+    ("pull", "W_P1", "W_P1b", "f", None, (1,), "P1b"),
+    ("restrict", "W_P1", "W_P1b", "f", "loc_b", (1,), "P1b"),
+    ("ext", "W_zP1", "W_P1", None, None, (1,), "P1"),
+    ("push", "W_P1", "W_X", "pi_P1", None, (), "P1"),
+    ("bord", "W_P1b", "W_zP1", None, "loc_b", (1,), "P1b"),
+]
+
+
+def _axiom_map(g, kind, src, tgt, morphism, triple, blocks=None):
+    return RegisteredMap(
+        f"{kind}_map", kind, g[src], g[tgt], g.get(morphism), g.get(triple),
+        blocks or {},
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,src,tgt,morphism,triple,key,scheme",
+    KIND_CASES,
+    ids=[c[0] for c in KIND_CASES],
+)
+def test_map_transport_with_wrong_endpoints(
+    axiom_geo, kind, src, tgt, morphism, triple, key, scheme
+):
+    from wtc.align import identity_alignment
+    from wtc.module import default_block_transport
+
+    g = axiom_geo
+    stub = _axiom_map(g, kind, src, tgt, morphism, triple)
+    good = {key: (default_block_transport(stub, key), {})}
+    validate_registered_map(_axiom_map(g, kind, src, tgt, morphism, triple, good))
+    assert good[key][0].scheme is g[scheme]
+    # no block transport of these maps starts or ends at 7 times the generator
+    wrong = {key: (identity_alignment(g[scheme].bundle([7])), {})}
+    with pytest.raises(ValidationError) as err:
+        validate_registered_map(_axiom_map(g, kind, src, tgt, morphism, triple, wrong))
+    assert err.value.axiom == "map_transport"
+
+
+@pytest.mark.parametrize(
+    "kind,src,tgt,morphism",
+    [
+        ("pull", "W_P1b", "W_P1", "f"),  # source and target swapped
+        ("ext", "W_zP1", "W_P1b", None),  # extension leaves its scheme
+    ],
+)
+def test_map_endpoints_mismatch(axiom_geo, kind, src, tgt, morphism):
+    rmap = _axiom_map(axiom_geo, kind, src, tgt, morphism, None)
+    with pytest.raises(ValidationError) as err:
+        validate_registered_map(rmap)
+    assert err.value.axiom == "map_endpoints"
+
+
+def test_map_support_without_inclusion(axiom_geo):
+    # extension runs from the smaller support to the larger, never back
+    backwards = _axiom_map(axiom_geo, "ext", "W_P1", "W_zP1", None, None)
+    with pytest.raises(ValidationError) as err:
+        validate_registered_map(backwards)
+    assert err.value.axiom == "map_support"

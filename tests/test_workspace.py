@@ -138,3 +138,13 @@ def test_torsion_pic_fixture_descends():
     cert = descend_alignment(f, abar, l1, l2)
     assert cert.check
     assert cert.output.m == y.pic.from_presentation([1, 1])
+
+
+def test_unknown_map_kind_with_blocks_is_located():
+    doc = json.loads(open(fixture_path("projective_line")).read())
+    doc["registered_maps"]["pull_piA1"]["kind"] = "pullback"
+    assert doc["registered_maps"]["pull_piA1"]["blocks"]
+    with pytest.raises(ValidationError) as err:
+        workspace_from_dict(doc)
+    assert err.value.axiom == "map_kind"
+    assert "pull_piA1: unknown kind 'pullback'" in str(err.value)

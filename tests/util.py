@@ -191,11 +191,11 @@ def p1_module_data():
     def reg(name, kind, src, tgt, blocks, morphism=None, triple=None):
         built = {}
         for key, (tr, mats) in blocks.items():
-            from wtc.module import _default_block_transport
+            from wtc.module import default_block_transport
 
             rmap_stub = RegisteredMap(name, kind, src, tgt, morphism, triple)
             if tr is None and kind in ("pull", "restrict", "ext"):
-                tr_align = _default_block_transport(rmap_stub, key)
+                tr_align = default_block_transport(rmap_stub, key)
             elif tr is None:
                 # push/bord canonical: source rep ⇝ twisted pulled target rep
                 if kind == "push":
@@ -303,14 +303,14 @@ def mixed_localization_data():
     eye = [[1]]
 
     def reg(name, kind, src, tgt, matrices, morphism=None, triple=None):
-        from wtc.module import _default_block_transport
+        from wtc.module import default_block_transport
         from wtc.abelian import canonical_sqrt
         from wtc.align import AlignmentClass
         from wtc.schemes import LineBundle
 
         stub = RegisteredMap(name, kind, src, tgt, morphism, triple)
         if kind in ("pull", "restrict", "ext"):
-            tr = _default_block_transport(stub, ())
+            tr = default_block_transport(stub, ())
         else:
             want = (triple.upsilon if kind == "bord" else morphism).pic_pullback.apply(
                 tgt.rep(())
