@@ -859,6 +859,30 @@ def _five_lemma_derivation(ledger, report, images):
         return [pr for pr in pairs if getattr(pr, side).w.key == key]
 
     node_pres = {"z": zp, "y": yp, "u": up}
+
+    def edge_hom(p, model_groups, edge, k):
+        """The model map of one edge in degree ``k``, or None once a failed
+        premise is recorded."""
+        (label, rmap, (sn, s_key), (tn, t_key), step, mapped, (s_off, t_off),
+         killed, kill_twist, kill_msg) = edge
+        s_pres, t_pres = node_pres[sn], node_pres[tn]
+        blocks = []
+        for i, pr in enumerate(mapped):
+            entry = model_entry(s_pres, t_pres, rmap, pr, k, s_key, t_key)
+            if entry is None:
+                report.add(
+                    f"model_square[{label},{p},{k}]", False, "square not solvable"
+                )
+                return None
+            blocks.append((s_off + i, t_off + i, entry))
+        for member in killed:
+            if not zero_check(s_pres, rmap, member, k, s_key, kill_twist):
+                report.add(f"model_zero[{label},{p},{k}]", False, kill_msg)
+                return None
+        return blocks_to_hom(
+            model_groups[(sn, k)], model_groups[(tn, (k + step) % 4)], blocks
+        )
+
     for p in ledger.scope:
         p_u = images[p]
         # pairs whose left member a map sends on, and whose right member it hits
@@ -898,40 +922,12 @@ def _five_lemma_derivation(ledger, report, images):
         }
         model_maps = {}
         entries_ok = True
-        for k in range(4):
-            for (label, rmap, (sn, s_key), (tn, t_key), step, mapped,
-                 (s_off, t_off), killed, kill_twist, kill_msg) in edges:
-                s_pres, t_pres = node_pres[sn], node_pres[tn]
-                blocks = []
-                for i, pr in enumerate(mapped):
-                    entry = model_entry(s_pres, t_pres, rmap, pr, k, s_key, t_key)
-                    if entry is None:
-                        report.add(
-                            f"model_square[{label},{p},{k}]", False,
-                            "square not solvable",
-                        )
-                        break
-                    blocks.append((s_off + i, t_off + i, entry))
-                else:
-                    for member in killed:
-                        if not zero_check(
-                            s_pres, rmap, member, k, s_key, kill_twist
-                        ):
-                            report.add(
-                                f"model_zero[{label},{p},{k}]", False, kill_msg
-                            )
-                            break
-                    else:
-                        model_maps[(label, k)] = blocks_to_hom(
-                            model_groups[(sn, k)],
-                            model_groups[(tn, (k + step) % 4)],
-                            blocks,
-                        )
-                        continue
+        for k, edge in itertools.product(range(4), edges):
+            hom = edge_hom(p, model_groups, edge, k)
+            if hom is None:
                 entries_ok = False
                 break
-            if not entries_ok:
-                break
+            model_maps[(edge[0], k)] = hom
 
         if not entries_ok:
             ok_all = False

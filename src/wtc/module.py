@@ -1200,9 +1200,11 @@ def _check_action_linear(rmap):
     ring = src.base_ring
     k_triv = LineBundle(ring.scheme, ring.scheme.pic.zero())
     # (class twist, downstairs twist) pairs to apply at, per source class:
-    # push-like maps apply at the lifted twist of each target representative
+    # pull-like maps apply at the representative, push-like maps at the
+    # lifted twist of each target representative
+    by_target = rmap.geometry.by_target
     twists = {}
-    for key in rmap.blocks if rmap.geometry.by_target else ():
+    for key in rmap.blocks if by_target else ():
         src_key, _, _, _, lifted = block_geometry(rmap, key)
         twists.setdefault(src_key, []).append((lifted, tgt.rep(key)))
     for (i, kappa) in ring.pieces:
@@ -1213,7 +1215,7 @@ def _check_action_linear(rmap):
             for (k, p) in src.pieces:
                 if src.piece(k, p).is_trivial():
                     continue
-                at = twists.get(p, []) if rmap.geometry.by_target else [(None, None)]
+                at = twists.get(p, []) if by_target else [(None, None)]
                 for g in src.piece(k, p).generators():
                     for twist, target_twist in at:
                         try:

@@ -394,6 +394,54 @@ def test_localization_mixed_roles_one_class():
         assert rep.theta_report.passed
 
 
+
+@pytest.mark.parametrize(
+    "e_right,r_right,b_right,record,detail",
+    [
+        ("zero_y1", "up", "vp", "model_square[e,(),1]", "square not solvable"),
+        ("wp", "up", "v", "model_zero[e,(),1]",
+         "extension does not kill the connected member"),
+        ("wp", "zero_u0", "vp", "model_square[res,(),0]", "square not solvable"),
+        ("w", "up", "vp", "model_zero[res,(),0]",
+         "restriction does not kill the extended member"),
+        ("wp", "up", "zero_z2", "model_square[bord,(),1]", "square not solvable"),
+    ],
+)
+def test_five_lemma_names_the_failed_premise(e_right, r_right, b_right, record, detail):
+    # wrong right-hand members break one square or one vanishing premise of
+    # the split model; the derivation stops there and names it
+    from wtc.basis import LocalizationReport, _five_lemma_derivation
+
+    from .util import mixed_localization_data
+
+    d = mixed_localization_data()
+    w_z, w_y, w_u = d["Wz"], d["Wy"], d["Wu"]
+    m = {
+        "v": member(w_z, "v", 1, (), [1]),
+        "vp": member(w_z, "vp", 2, (), [1]),
+        "zero_z2": member(w_z, "vp", 2, (), [0]),
+        "wp": member(w_y, "wp", 1, (), [1]),
+        "w": member(w_y, "w", 0, (), [1]),
+        "zero_y1": member(w_y, "wp", 1, (), [0]),
+        "up": member(w_u, "up", 0, (), [1]),
+        "zero_u0": member(w_u, "up", 0, (), [0]),
+        "u": member(w_u, "u", 1, (), [1]),
+    }
+    led = LocalizationLedger(
+        "mixed", d["loc"], w_z, w_y, w_u,
+        d["ext"], d["res"], d["bord"],
+        scope=[()],
+        e_pairs=(LedgerPair(m["v"], m[e_right]),),
+        upsilon_pairs=(LedgerPair(m["w"], m[r_right]),),
+        bord_pairs=(LedgerPair(m["u"], m[b_right]),),
+    )
+    report = LocalizationReport(led)
+    assert _five_lemma_derivation(led, report, {(): ()}) is False
+    assert [(r.name, r.ok, r.detail) for r in report.records] == [
+        (record, False, detail),
+        ("five_lemma_premises", False, ""),
+    ]
+
 def test_full_pipeline_size_two(data, unit_x):
     # devissage per chunk, affine transfer, two ledgers, union: a total
     # basis of the projective-line presentation of size exactly 2
