@@ -36,8 +36,6 @@ from .align import (
     canonical_alignment,
     compose,
     invert,
-    pull_alignment,
-    shriek_alignment,
 )
 from .errors import (
     DegreeMismatch,
@@ -591,7 +589,13 @@ class MapKind:
         g = self.lift(rmap)
         if g is None:
             return a
-        return shriek_alignment(g, a) if self.omega else pull_alignment(g, a)
+        # one construction; shriek_alignment would build and check it twice
+        return AlignmentClass(
+            g.source.bundle(self.lift_class(rmap, a.source.cls)),
+            g.source.bundle(self.lift_class(rmap, a.target.cls)),
+            g.pic_pullback.apply(a.m),
+            g.unit_pullback.apply(a.u),
+        )
 
 
 def _push_support_ok(rmap):
