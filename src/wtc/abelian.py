@@ -13,7 +13,9 @@ coefficients way past machine size.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IllFormedHom, NotEnumerable, TypeMismatch
 
@@ -37,7 +39,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def transpose(a):
@@ -215,35 +217,44 @@ def minors_gcd_invariants(mat):
 
 def integer_kernel(mat):
     """Basis (list of column vectors) of ``{x : mat @ x = 0}``."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
     diag, _u, _uinv, v, _vinv = smith_normal_form(mat)
-    cols = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            cols.append([v[i][j] for i in range(n)])
-    return cols
+    return _snf_kernel(diag, v)
 
 
 def integer_solve(mat, b):
     """One solution of ``mat @ x = b`` over Z, or None."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
     diag, u, _uinv, v, _vinv = smith_normal_form(mat)
+    return _snf_solve(diag, u, v, b)
+
+
+def _snf_kernel(diag, v):
+    """Kernel basis of a matrix from its Smith form ``U @ mat @ V = diag``."""
+    n = len(v)
+    return [
+        [v[i][j] for i in range(n)]
+        for j in range(n)
+        if j >= len(diag) or diag[j] == 0
+    ]
+
+
+def _snf_solve(diag, u, v, b):
+    """One solution of ``mat @ x = b`` from the Smith form
+    ``U @ mat @ V = diag`` of ``mat``, or None.
+
+    Only the columns of V at nonzero diagonal entries are used, so V may be
+    cut to those columns and to the rows of the wanted coordinates of x.
+    """
     y = mat_vec(u, b)
-    x_diag = [0] * n
-    for i in range(m):
+    x_diag = [0] * len(diag)
+    for i, yi in enumerate(y):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
-            if y[i] != 0:
+            if yi != 0:
                 return None
+        elif yi % d != 0:
+            return None
         else:
-            if y[i] % d != 0:
-                return None
-            if i < n:
-                x_diag[i] = y[i] // d
+            x_diag[i] = yi // d
     return mat_vec(v, x_diag)
 
 
@@ -308,6 +319,11 @@ class FgAbGroup:
     ``relations`` is an iterable of coordinate rows over ``ngens``
     presentation generators; the group is Z^ngens modulo those rows.
     Canonical coordinates drop the trivial invariant factors.
+
+    A group's presentation and invariants are never changed after
+    construction; that is what makes it safe to compute the data derived
+    from them alone (the doubling hom, the 2-torsion subgroup) once and keep
+    it on the group.
     """
 
     def __init__(self, relations=(), ngens=None, names=None):
@@ -429,6 +445,23 @@ class FgAbGroup:
         for combo in itertools.product(*ranges):
             yield self.element(combo)
 
+    @cached_property
+    def _doubling(self):
+        """The hom ``x -> 2x``; its solver data serves ``canonical_sqrt``."""
+        return GroupHom(
+            self, self, [(2 * g).coords for g in self.generators()], check=False
+        )
+
+    @cached_property
+    def _two_torsion(self):
+        gens = []
+        for i, d in enumerate(self.invariants):
+            if d and d % 2 == 0:
+                gens.append(
+                    self.element([d // 2 if i == j else 0 for j in range(self.rank)])
+                )
+        return subgroup_from_elements(self, gens)
+
     def relation_lattice(self):
         """Columns spanning the kernel of Z^rank -> G (canonical coords)."""
         cols = []
@@ -451,7 +484,7 @@ class FgAbGroup:
         return repr(self)[9:-1] if self.invariants else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     group: FgAbGroup
     coords: tuple
@@ -486,7 +519,12 @@ class GroupElement:
 
 class GroupHom:
     """Homomorphism in canonical coordinates; ``cols[i]`` is the image of
-    the i-th canonical generator of the source."""
+    the i-th canonical generator of the source.
+
+    A hom is never changed after construction (nor are its groups), so the
+    data derived from it alone (solver data, cokernel, restriction to
+    2-torsion) is computed on first use and kept on the hom.
+    """
 
     def __init__(self, source, target, cols, check=True):
         self.source = source
@@ -540,7 +578,8 @@ class GroupHom:
             raise TypeMismatch("element not in the hom's source")
         acc = [0] * self.target.rank
         for c, col in zip(el.coords, self.cols):
-            acc = [a + c * x for a, x in zip(acc, col)]
+            if c:
+                acc = [a + c * x for a, x in zip(acc, col)]
         return self.target.element(acc)
 
     def compose(self, inner):
@@ -557,30 +596,70 @@ class GroupHom:
             for i in range(self.target.rank)
         ]
 
+    @cached_property
+    def _solver(self):
+        """``(snf, hnf, kernel, kernel_inclusion)`` for ``solve_linear``.
+
+        ``snf`` is ``(diag, U, V)`` of the Smith form of
+        ``[matrix | target relations]`` (None when the target is trivial),
+        with V cut to what ``_snf_solve`` needs for the source coordinates;
+        ``hnf`` reduces modulo the solution lattice plus the source
+        relations, so representatives are canonical in the source group.
+        """
+        src, tgt = self.source, self.target
+        mat = self.matrix_rows()
+        rel = tgt.relation_lattice()
+        stacked = [mat[i] + [rc[i] for rc in rel] for i in range(tgt.rank)]
+        if stacked:
+            diag, u, _uinv, v, _vinv = smith_normal_form(stacked)
+            nonzero = sum(1 for d in diag if d)
+            snf = diag, u, [row[:nonzero] for row in v[: src.rank]]
+            lattice = [k[: src.rank] for k in _snf_kernel(diag, v)]
+            lattice = [c for c in lattice if any(c)]
+        else:
+            snf = None
+            lattice = identity_matrix(src.rank)
+        hnf = column_hnf(lattice + src.relation_lattice(), src.rank)
+        kernel, incl = subgroup_from_elements(
+            src, [src.element(c) for c in lattice]
+        )
+        return snf, hnf, kernel, incl
+
+    @cached_property
+    def _cokernel(self):
+        tgt = self.target
+        rel = [
+            [d if i == j else 0 for j in range(tgt.rank)]
+            for i, d in enumerate(tgt.invariants) if d
+        ]
+        rel += [list(c) for c in self.cols]
+        cok = FgAbGroup(rel, ngens=tgt.rank)
+        proj = GroupHom(
+            tgt,
+            cok,
+            [
+                cok.from_presentation(
+                    [1 if i == j else 0 for i in range(tgt.rank)]
+                ).coords
+                for j in range(tgt.rank)
+            ],
+            check=False,
+        )
+        return cok, proj
+
+    @cached_property
+    def on_two_torsion(self):
+        """This hom restricted to the 2-torsion of its source, i.e.
+        ``self ∘ incl`` for the inclusion returned by ``two_torsion``."""
+        _, incl = two_torsion(self.source)
+        return self.compose(incl)
+
     def __repr__(self):
         return f"GroupHom({self.source.describe()} -> {self.target.describe()})"
 
 
 # ---------------------------------------------------------------------------
 # subgroups, kernels, images, cokernels
-
-
-def _solution_lattice(hom):
-    """Columns spanning ``{x in Z^src.rank : hom(x) = 0 in target}``."""
-    src, tgt = hom.source, hom.target
-    mat = hom.matrix_rows()
-    rel = tgt.relation_lattice()
-    stacked = [
-        [mat[i][j] for j in range(src.rank)] + [rel[k][i] for k in range(len(rel))]
-        for i in range(tgt.rank)
-    ]
-    if not stacked:
-        return [
-            [1 if i == j else 0 for i in range(src.rank)] for j in range(src.rank)
-        ]
-    ker = integer_kernel(stacked)
-    cols = [k[: src.rank] for k in ker]
-    return [c for c in cols if any(c)] or []
 
 
 def subgroup_from_elements(parent, elements):
@@ -619,9 +698,7 @@ def subgroup_from_elements(parent, elements):
 
 def kernel_of(hom):
     """Kernel subgroup with its inclusion into the source."""
-    cols = _solution_lattice(hom)
-    elements = [hom.source.element(c) for c in cols]
-    return subgroup_from_elements(hom.source, elements)
+    return hom._solver[2:]
 
 
 def image_of(hom):
@@ -632,25 +709,7 @@ def image_of(hom):
 
 def cokernel_of(hom):
     """Cokernel with the projection from the target."""
-    tgt = hom.target
-    rel = [list(r) for r in [
-        [d if i == j else 0 for j in range(tgt.rank)]
-        for i, d in enumerate(tgt.invariants) if d
-    ]]
-    rel += [list(c) for c in hom.cols]
-    cok = FgAbGroup(rel, ngens=tgt.rank)
-    proj = GroupHom(
-        tgt,
-        cok,
-        [
-            cok.from_presentation(
-                [1 if i == j else 0 for i in range(tgt.rank)]
-            ).coords
-            for j in range(tgt.rank)
-        ],
-        check=False,
-    )
-    return cok, proj
+    return hom._cokernel
 
 
 @dataclass
@@ -680,35 +739,20 @@ def solve_linear(hom, target_el):
     """
     if target_el.group is not hom.target:
         raise TypeMismatch("target element not in the hom's target group")
-    src, tgt = hom.source, hom.target
-    mat = hom.matrix_rows()
-    rel = tgt.relation_lattice()
-    stacked = [
-        [mat[i][j] for j in range(src.rank)] + [rc[i] for rc in rel]
-        for i in range(tgt.rank)
-    ]
-    if not stacked:
+    src = hom.source
+    snf, hnf, ker, ki = hom._solver
+    if snf is None:
         x0 = [0] * src.rank
     else:
-        sol = integer_solve(stacked, list(target_el.coords))
-        if sol is None:
+        x0 = _snf_solve(*snf, list(target_el.coords))
+        if x0 is None:
             return None
-        x0 = sol[: src.rank]
-    lattice = _solution_lattice(hom)
-    # include source relations so the representative is canonical in the group
-    lattice = lattice + [c for c in src.relation_lattice()]
-    hnf = column_hnf(lattice, src.rank)
-    x = reduce_mod_lattice(hnf, x0)
-    ker, ki = kernel_of(hom)
-    return src.element(x), ker, ki
+    return src.element(reduce_mod_lattice(hnf, x0)), ker, ki
 
 
 def canonical_sqrt(group, delta):
     """Canonical m with 2m = delta, or None."""
-    doubling = GroupHom(
-        group, group, [(2 * g).coords for g in group.generators()], check=False
-    )
-    res = solve_linear(doubling, delta)
+    res = solve_linear(group._doubling, delta)
     if res is None:
         return None
     return res[0]
@@ -728,13 +772,7 @@ def sqrt_solutions(group, delta):
 
 def two_torsion(group):
     """The subgroup of elements killed by 2, with its inclusion."""
-    gens = []
-    for i, d in enumerate(group.invariants):
-        if d and d % 2 == 0:
-            gens.append(
-                group.element([d // 2 if i == j else 0 for j in range(group.rank)])
-            )
-    return subgroup_from_elements(group, gens)
+    return group._two_torsion
 
 
 def mod2_reduction(group):

@@ -18,7 +18,7 @@ from .errors import NotEnumerable, TypeMismatch
 from .schemes import LineBundle, MorphismDescriptor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentClass:
     """Isomorphism class of a quadratic alignment ``source ⇝ target``."""
 

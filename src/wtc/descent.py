@@ -48,7 +48,7 @@ from .schemes import LineBundle, structure_morphism
 # certification
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmPicCertificate:
     morphism: object
     pic_injective: bool
@@ -77,7 +77,18 @@ def certify_smpic(pi):
     for (I), a 2-torsion class of the relative Picard group (with a lift to
     the scheme's Picard group when one exists) for (II), and an unreachable
     unit class for (III).
+
+    A ``MorphismDescriptor`` is frozen, so its certificate is computed once
+    and kept on it.  A scheme rewired to another structure map reaches that
+    map's own certificate.
     """
+    cert = vars(pi).get("_smpic_certificate")
+    if cert is None:
+        cert = vars(pi)["_smpic_certificate"] = _certify(pi)
+    return cert
+
+
+def _certify(pi):
     ana = hom_analyze(pi.pic_pullback)
     injective = ana.kernel.is_trivial()
     inj_wit = None
@@ -349,18 +360,14 @@ def descend_alignment(f, abar, l1, l2, mode="plain"):
 
     # 2-torsion correction: the unique t with f^*(m' + t) = abar.m
     delta = abar.m - f.pic_pullback.apply(m_prime)
-    tor, tor_incl = two_torsion(y.pic)
-    candidates = [
-        t_el
-        for t_el in (tor_incl.apply(t) for t in tor.elements())
-        if f.pic_pullback.apply(t_el) == delta
-    ]
-    if len(candidates) != 1:
+    _, tor_incl = two_torsion(y.pic)
+    sol = solve_linear(f.pic_pullback.on_two_torsion, delta)
+    if sol is None or not sol[1].is_trivial():
         raise InternalContradiction(
             "torsion correction not unique despite certified bijection",
             witness=delta,
         )
-    m = m_prime + candidates[0]
+    m = m_prime + tor_incl.apply(sol[0])
 
     u = _unit_solution(f, abar.u)
     out = AlignmentClass(l1, l2, m, u)

@@ -59,7 +59,8 @@ def add(u, v):
 
 
 def _echelon(rows):
-    """Row echelon form (list of rows) with pivot columns."""
+    """Reduced row echelon form (list of nonzero rows) with pivot columns:
+    each pivot column is 0 in every row but its own."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -171,10 +172,6 @@ class F2Map:
         for b in self.target.basis():
             if not in_span(img, b):
                 return b
-        # basis vectors may all be reachable while some combination is not
-        for v in self.target.vectors():
-            if any(v) and not in_span(img, v):
-                return v
         return None
 
     def stack(self, other):
@@ -201,13 +198,15 @@ def in_span(vectors, v):
 
 
 def coset_min(v, kernel_vectors):
-    """Lexicographically smallest element of ``v + span(kernel_vectors)``."""
-    best = tuple(v)
-    for combo in itertools.product((0, 1), repeat=len(kernel_vectors)):
-        cand = tuple(v)
-        for c, k in zip(combo, kernel_vectors):
-            if c:
-                cand = add(cand, k)
-        if cand < best:
-            best = cand
-    return best
+    """Lexicographically smallest element of ``v + span(kernel_vectors)``.
+
+    Clearing every pivot of the reduced echelon form of the span leaves the
+    one coset element that is 0 at all pivots; adding any nonzero span
+    element sets its first pivot, so that element is the least.
+    """
+    v = list(v)
+    rows, pivots = _echelon(kernel_vectors)
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            v = [a ^ b for a, b in zip(v, row)]
+    return tuple(v)

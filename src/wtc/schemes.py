@@ -60,7 +60,7 @@ class SchemeDescriptor:
         return f"Scheme({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBundle:
     scheme: SchemeDescriptor
     cls: GroupElement
@@ -89,8 +89,14 @@ class ProperData:
     relative_dimension: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MorphismDescriptor:
+    """A morphism ``source -> target`` by its pullback data.
+
+    Frozen, so data derived from it (its base-compatibility certificate)
+    can be computed once and kept on it.
+    """
+
     name: str
     source: SchemeDescriptor
     target: SchemeDescriptor
@@ -114,11 +120,13 @@ class MorphismDescriptor:
             raise TypeMismatch(
                 f"canonical class of {self.name} not in the source Picard group"
             )
-        self.annotations = frozenset(self.annotations)
+        object.__setattr__(self, "annotations", frozenset(self.annotations))
         defaults = {s: s for s in self.target.supports if s in self.source.supports}
-        self.support_map = {**defaults, **dict(self.support_map)}
+        object.__setattr__(self, "support_map", {**defaults, **dict(self.support_map)})
         push_defaults = {s: s for s in self.source.supports if s in self.target.supports}
-        self.push_support_map = {**push_defaults, **dict(self.push_support_map)}
+        object.__setattr__(
+            self, "push_support_map", {**push_defaults, **dict(self.push_support_map)}
+        )
 
     # -- pullbacks -------------------------------------------------------
 

@@ -46,7 +46,7 @@ from wtc.module import compare_classes, eval_expr, lax_product, transport
 from wtc.workspace import fixture_path, parse_workspace
 
 from .conftest import seed_value
-from .util import f1_pair, make_morphism, make_scheme
+from .util import descent_tower, f1_pair, make_morphism, make_scheme
 
 
 class Budget:
@@ -347,6 +347,35 @@ def test_criterion_3_descent_suite(p1ws, torsion_ws):
     cases += sweep_descents(torsion_ws, "f", tor_window)
     assert cases >= 10_000
     budget.done(f"{cases} descent cases against the exhaustive oracle")
+
+
+def test_descent_scale_r30_k30():
+    # Pic = Z + (Z/2)^30 with a 30-dimensional unit kernel: scanning the
+    # 2-torsion or the unit kernel would take 2^30 steps
+    r, k = 30, 30
+    rng = random.Random(seed_value())
+    sign = rng.choice((1, -1))
+    cbits = [rng.randint(0, 1) for _ in range(r)]
+    y, ybar, f = descent_tower(r, k, sign, cbits)
+    cases = []
+    for _ in range(21):
+        tors = [rng.randint(0, 1) for _ in range(r)]
+        h1, a = rng.randint(-20, 20), rng.randint(-10, 10)
+        tau = [rng.randint(0, 1) for _ in range(r)]
+        ubar = (rng.randint(0, 1), rng.randint(0, 1))
+        l1 = y.bundle(tors + [h1])
+        l2 = y.bundle(tors + [h1 + 2 * a])
+        abar = AlignmentClass(
+            f.pull_bundle(l1), f.pull_bundle(l2),
+            ybar.pic.element(tau + [sign * a]), ubar,
+        )
+        expect_m = [(t + a * c) % 2 for t, c in zip(tau, cbits)] + [a]
+        cases.append((abar, l1, l2, (tuple(expect_m), ubar + (0,) * k)))
+    budget = Budget("descent at r = k = 30: one cold and 20 warm calls", 2)
+    for abar, l1, l2, expected in cases:
+        cert = descend_alignment(f, abar, l1, l2)
+        assert cert.check and cert.output.data() == expected
+    budget.done(f"{len(cases)} descents, unit dimension {k + 2}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -19,9 +20,10 @@ from wtc.descent import (
     picard_chase,
     realign,
     relative_class_mod2,
+    require_smpic,
     solve_coefficient_square,
 )
-from wtc.errors import ClassMismatch, HypothesisFailed, NotSmPic
+from wtc.errors import ClassMismatch, HypothesisFailed, InternalContradiction, NotSmPic
 
 from .util import f1_pair, make_base, make_morphism, make_scheme, over_base, torsion_pair
 
@@ -263,6 +265,69 @@ def test_descend_requires_certified_schemes():
             x.trivial_bundle(),
             x.trivial_bundle(),
         )
+
+
+def test_certificate_follows_rewired_structure_map():
+    # the certificate is kept per structure morphism, not per scheme: a
+    # scheme rewired to a failing map must get the new verdict
+    x = make_base("X", (), ("a",))
+    y = make_scheme("Y", (0,), ("a",))
+    good = over_base(y, x, pic_cols=[], unit_cols=[(1,)])
+    cert = require_smpic(y)
+    assert cert.passed and cert.morphism is good
+    assert require_smpic(y) is cert
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.units_surjective = False
+    bad = over_base(y, x, pic_cols=[], unit_cols=[(0,)])
+    with pytest.raises(NotSmPic) as exc:
+        require_smpic(y)
+    assert exc.value.witness.morphism is bad
+    assert not exc.value.witness.units_surjective
+    over_base(y, x, pic_cols=[], unit_cols=[(1,)])
+    assert require_smpic(y).passed
+
+
+def torsion_killing_tower(invariants, pic_cols):
+    """Y and Ybar with Pic = (Z/2)^n, each certified over a base with the
+    same Picard group (identity pullback), and f: Ybar -> Y with the given
+    Picard pullback; certification holds, so only the 2-torsion step of
+    descent can fail."""
+    n = len(invariants)
+    eye = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    x = make_base("X", invariants, ("a",))
+    y = make_scheme("Y", invariants, ("a",))
+    ybar = make_scheme("Ybar", invariants, ("a",))
+    over_base(y, x, pic_cols=eye, unit_cols=[(1,)])
+    over_base(ybar, x, pic_cols=eye, unit_cols=[(1,)])
+    f = make_morphism("f", ybar, y, pic_cols=pic_cols, unit_cols=[(1,)])
+    return y, ybar, f
+
+
+def test_descend_torsion_correction_not_unique():
+    # f^* kills Pic(Y)[2] = Z/2, so both torsion classes correct delta = 0
+    y, ybar, f = torsion_killing_tower((2,), pic_cols=[[0]])
+    l0 = y.trivial_bundle()
+    abar = identity_alignment(ybar.trivial_bundle())
+    with pytest.raises(
+        InternalContradiction,
+        match="torsion correction not unique despite certified bijection",
+    ) as exc:
+        descend_alignment(f, abar, l0, l0)
+    assert exc.value.witness == ybar.pic.zero()
+
+
+def test_descend_torsion_correction_missing():
+    # f^*(Pic(Y)[2]) = {0, t1} in (Z/2)^2, and delta = t2 lies outside it
+    y, ybar, f = torsion_killing_tower((2, 2), pic_cols=[[1, 0], [1, 0]])
+    l0 = y.trivial_bundle()
+    delta = ybar.pic.element([0, 1])
+    abar = AlignmentClass(ybar.trivial_bundle(), ybar.trivial_bundle(), delta, (0,))
+    with pytest.raises(
+        InternalContradiction,
+        match="torsion correction not unique despite certified bijection",
+    ) as exc:
+        descend_alignment(f, abar, l0, l0)
+    assert exc.value.witness == delta
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtc.errors import TypeMismatch
 from wtc.f2 import F2Map, F2Space, add, coset_min, in_span
@@ -53,11 +57,60 @@ def test_compose_and_stack():
     assert st.apply((1,)) == (1, 1, 1, 1)
 
 
+def brute_coset_min(v, kernel_vectors):
+    """Oracle: the least of all 2^len(kernel_vectors) sums v + combination."""
+    best = tuple(v)
+    for combo in itertools.product((0, 1), repeat=len(kernel_vectors)):
+        cand = tuple(v)
+        for c, k in zip(combo, kernel_vectors):
+            if c:
+                cand = add(cand, k)
+        if cand < best:
+            best = cand
+    return best
+
+
 def test_coset_min():
     v = (1, 1, 0)
     kernel = [(1, 0, 0)]
     assert coset_min(v, kernel) == (0, 1, 0)
     assert coset_min((0, 0, 1), []) == (0, 0, 1)
+    # zero, duplicate and dependent kernel vectors
+    v = (1, 0, 1, 1)
+    a, b = (1, 1, 0, 0), (0, 0, 1, 1)
+    for kernel in ([(0, 0, 0, 0)], [a, a], [a, b, add(a, b)], [(0, 0, 0, 0), b, b]):
+        assert coset_min(v, kernel) == brute_coset_min(v, kernel)
+    assert coset_min(v, [a, b]) == (0, 1, 0, 0)
+
+
+@st.composite
+def coset_cases(draw):
+    """A vector of dim <= 10 and up to 8 kernel vectors, with zero,
+    duplicate and dependent (sum of two drawn) vectors mixed in."""
+    dim = draw(st.integers(0, 10))
+    vec = st.tuples(*[st.integers(0, 1)] * dim)
+    v = draw(vec)
+    kernel = draw(st.lists(vec, max_size=8))
+    extras = []
+    if kernel:
+        pick = st.sampled_from(kernel)
+        extras = draw(st.lists(
+            st.one_of(
+                st.just((0,) * dim),
+                pick,
+                st.builds(add, pick, pick),
+            ),
+            max_size=8 - len(kernel),
+        ))
+    order = draw(st.permutations(kernel + extras))
+    return v, list(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_cases())
+def test_coset_min_matches_enumeration(case):
+    v, kernel = case
+    assert coset_min(v, kernel) == brute_coset_min(v, kernel)
 
 
 def test_add():

@@ -354,3 +354,36 @@ def torsion_pair():
         "f", ybar, y, pic_cols=[[1, 0], [0, 1]], unit_cols=[(1,)]
     )
     return x, y, ybar, f
+
+
+def descent_tower(r, k, sign, cbits):
+    """The tower Ybar -> Y over X with Pic(Y) = Pic(Ybar) = Z + (Z/2)^r.
+
+    Pic(X) = (Z/2)^r pulls back to the torsion of both schemes (canonical
+    coordinates: the torsion t_1..t_r first, then h).  X and Y carry k + 2
+    unit classes, Ybar two, and the unit pullbacks to Ybar keep the first
+    two, so ``f``'s unit kernel has dimension k.  ``f^*`` fixes the torsion
+    and sends h to ``sign*hb + sum cbits_i*tb_i``.
+
+    For L1, L2 on Y with equal torsion parts and h coefficients that
+    differ by 2a, the alignment ``f*L1 ⇝ f*L2`` with square root
+    ``sign*a*hb + tau`` and unit class ``ubar`` descends to ``a*h + t`` with
+    ``t = tau + a*cbits`` mod 2 and to ``ubar`` padded with k zeros.
+    """
+    units = ("a", "b") + tuple(f"c{j}" for j in range(1, k + 1))
+    eye = [[1 if i == j else 0 for i in range(r)] for j in range(r)]
+    torsion_in = [col + [0] for col in eye]  # s_i -> t_i
+    keep_two = [(1, 0), (0, 1)] + [(0, 0)] * k
+    x = make_base("X", (2,) * r, units)
+    y = make_scheme("Y", (2,) * r + (0,), units)
+    ybar = make_scheme("Ybar", (2,) * r + (0,), units[:2])
+    over_base(y, x, pic_cols=torsion_in, unit_cols=[
+        tuple(1 if i == j else 0 for i in range(k + 2)) for j in range(k + 2)
+    ])
+    over_base(ybar, x, pic_cols=torsion_in, unit_cols=keep_two)
+    f = make_morphism(
+        "f", ybar, y,
+        pic_cols=torsion_in + [list(cbits) + [sign]],
+        unit_cols=keep_two,
+    )
+    return y, ybar, f
